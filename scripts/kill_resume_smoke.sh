@@ -72,6 +72,9 @@ smoke_one() {
         return 1
     fi
     echo "PASS: resumed output is byte-identical to the uninterrupted run"
+    if [ -n "${KEEP_REFERENCE:-}" ]; then
+        cp "$work/reference.out" "$KEEP_REFERENCE"
+    fi
     rm -rf "$work"
     return 0
 }
@@ -88,15 +91,28 @@ fi
 # invoker exercises the dense platform hot path under checkpointing),
 # and one cluster-sweep bench (fig_overload, whose cells carry the
 # overload counters), so every checkpoint flavour gets the SIGKILL
-# treatment. The fig_overload sweep runs twice: single-threaded legacy
-# cells, then --shards 4 cells through the windowed sharded engine,
-# whose payloads must survive the SIGKILL/resume cycle byte-for-byte.
+# treatment. The fig_overload sweep runs twice through the windowed
+# cluster engine: at the default single shard, then at --shards 4. Both
+# must survive the SIGKILL/resume cycle byte-for-byte, and since the
+# shard count is an execution grouping, not a semantic, their outputs
+# must also be byte-identical to each other.
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 STATUS=0
+OUTS=$(mktemp -d)
 smoke_one "$ROOT/build/bench/fig6_cold_starts" --jobs 2 || STATUS=1
 smoke_one "$ROOT/build/bench/fig6_cold_starts" --streamed --jobs 2 || STATUS=1
 smoke_one "$ROOT/build/bench/fig7_skewed_workloads" --jobs 2 || STATUS=1
 smoke_one "$ROOT/build/bench/fig8_server_load" --jobs 2 || STATUS=1
-smoke_one "$ROOT/build/bench/fig_overload" --smoke --jobs 2 || STATUS=1
-smoke_one "$ROOT/build/bench/fig_overload" --smoke --jobs 2 --shards 4 || STATUS=1
+KEEP_REFERENCE=$OUTS/shards1.out \
+    smoke_one "$ROOT/build/bench/fig_overload" --smoke --jobs 2 || STATUS=1
+KEEP_REFERENCE=$OUTS/shards4.out \
+    smoke_one "$ROOT/build/bench/fig_overload" --smoke --jobs 2 --shards 4 || STATUS=1
+if cmp -s "$OUTS/shards1.out" "$OUTS/shards4.out"; then
+    echo "PASS: fig_overload output is identical at 1 and 4 shards"
+else
+    echo "FAIL: fig_overload output differs between 1 and 4 shards" >&2
+    diff "$OUTS/shards1.out" "$OUTS/shards4.out" | head -40 >&2
+    STATUS=1
+fi
+rm -rf "$OUTS"
 exit $STATUS

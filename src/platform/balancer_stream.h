@@ -1,21 +1,18 @@
 /**
  * @file
- * Streaming load-balancer helpers shared by the cluster front ends.
+ * Streaming load-balancer helpers shared by the cluster engines.
  *
  * The balancer's primary assignment is a pure function of the arrival
  * stream: RoundRobin and FunctionHash depend only on (index, function),
  * and Random is a sequential draw stream seeded by the cluster seed.
  * Every consumer that replays the stream in order therefore assigns
- * identical primaries — the invariant both the single-threaded cluster
- * paths and the sharded engine (cluster_shard.cc) are built on. This
- * header is internal to src/platform; it exists so the sharded engine
- * can reuse the exact tracker/filter the legacy paths use instead of
- * re-deriving the draw discipline.
+ * identical primaries — the invariant both the split replay and the
+ * windowed engine (cluster_shard.cc) are built on. This header is
+ * internal to src/platform.
  */
 #ifndef FAASCACHE_PLATFORM_BALANCER_STREAM_H_
 #define FAASCACHE_PLATFORM_BALANCER_STREAM_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,21 +23,18 @@
 namespace faascache {
 
 /**
- * The balancer's primary for each arrival, computed in stream order
- * with the exact draw sequence of the materialized path. RoundRobin
- * and FunctionHash primaries are pure functions of (index, function)
- * and cost nothing to recall later; Random primaries are sequential
- * RNG draws, so when `record` is set each draw is kept (4
- * bytes/arrival) for the crash fallout's recall — the one deliberate
- * O(stream) allowance of the streamed cluster (documented on
- * runCluster). The sharded engine never records: attempt counts and
- * primaries travel with cross-shard messages instead.
+ * The balancer's primary for each arrival, computed in stream order.
+ * RoundRobin and FunctionHash primaries are pure functions of
+ * (index, function); Random primaries are sequential RNG draws, so the
+ * tracker must see every arrival exactly once, in order. Nothing is
+ * recorded: the windowed engine carries a request's primary with its
+ * cross-shard messages instead of recalling it.
  */
 class PrimaryTracker
 {
   public:
-    PrimaryTracker(const ClusterConfig& config, bool record)
-        : config_(&config), rng_(config.seed), record_(record)
+    explicit PrimaryTracker(const ClusterConfig& config)
+        : config_(&config), rng_(config.seed)
     {
     }
 
@@ -48,30 +42,9 @@ class PrimaryTracker
     std::size_t onArrival(std::size_t index, const Invocation& inv)
     {
         switch (config_->balancing) {
-          case LoadBalancing::Random: {
-            const auto draw = static_cast<std::size_t>(
-                rng_.uniformInt(config_->num_servers));
-            if (record_)
-                draws_.push_back(static_cast<std::uint32_t>(draw));
-            return draw;
-          }
-          case LoadBalancing::RoundRobin:
-            return index % config_->num_servers;
-          case LoadBalancing::FunctionHash:
-            break;
-        }
-        return static_cast<std::size_t>(
-            Rng::hashMix(inv.function ^ config_->seed) %
-            config_->num_servers);
-    }
-
-    /** Primary of an already-seen arrival. @pre record was set for
-     *  Random balancing. */
-    std::size_t recall(std::size_t index, const Invocation& inv) const
-    {
-        switch (config_->balancing) {
           case LoadBalancing::Random:
-            return draws_.at(index);
+            return static_cast<std::size_t>(
+                rng_.uniformInt(config_->num_servers));
           case LoadBalancing::RoundRobin:
             return index % config_->num_servers;
           case LoadBalancing::FunctionHash:
@@ -85,8 +58,6 @@ class PrimaryTracker
   private:
     const ClusterConfig* config_;
     Rng rng_;
-    bool record_;
-    std::vector<std::uint32_t> draws_;
 };
 
 /**
@@ -94,13 +65,11 @@ class PrimaryTracker
  * filter view over the shared source that consumes one balancer draw
  * per inner invocation (in stream order, so every pass replays the
  * identical draw sequence) and emits only the invocations routed to
- * this server. Streaming analogue of runClusterSplit()'s shards —
- * function ids pass through untouched, every shard keeps the full
- * catalog. Non-owning; reset() rewinds the shared source.
+ * this server. Function ids pass through untouched; every server keeps
+ * the full catalog. Non-owning; reset() rewinds the shared source.
  *
- * The count hint is caller-provided: the legacy streamed split runs a
- * counting pass for exact hints, the sharded split passes an inexact
- * estimate instead (hints are allocation-only by the InvocationSource
+ * The count hint is caller-provided; the split replay passes an
+ * inexact estimate (hints are allocation-only by the InvocationSource
  * contract, so results cannot differ).
  */
 class BalancerFilterSource final : public InvocationSource
@@ -111,7 +80,7 @@ class BalancerFilterSource final : public InvocationSource
                          SourceCountHint hint)
         : inner_(&inner), config_(&config), server_(server), hint_(hint),
           name_(inner.name() + "-server" + std::to_string(server)),
-          tracker_(config, /*record=*/false)
+          tracker_(config)
     {
     }
 
@@ -142,7 +111,7 @@ class BalancerFilterSource final : public InvocationSource
     void reset() override
     {
         inner_->reset();
-        tracker_ = PrimaryTracker(*config_, /*record=*/false);
+        tracker_ = PrimaryTracker(*config_);
         index_ = 0;
         has_pending_ = false;
     }

@@ -13,14 +13,16 @@
  *
  * Beyond the paper, the front end is health-aware: a ClusterConfig may
  * carry a FaultPlan (fault_injection.h) of crashes and stochastic
- * faults. Under a non-empty plan the cluster runs an interleaved
- * event simulation — tracking per-server health, failing invocations
- * over to healthy servers, re-dispatching the work a crash spills with
- * bounded retries and exponential backoff under a per-request timeout
- * budget, and shedding load when every healthy server's queue crosses
- * a high-water mark. With an empty plan (and no admission control) the
- * original independent-server replay runs unchanged, so the fault
- * machinery costs nothing when disabled.
+ * faults. Under a non-empty plan the cluster runs the windowed engine
+ * (cluster_shard.h, DESIGN.md §4i) — tracking per-server health,
+ * failing invocations over to healthy servers, re-dispatching the work
+ * a crash spills with bounded retries and exponential backoff under a
+ * per-request timeout budget, and shedding load when every healthy
+ * server's queue crosses a high-water mark. With an empty plan (and no
+ * admission control, retry budget or breakers) every server replays
+ * its balancer share independently, so the fault machinery costs
+ * nothing when disabled; the windowed engine produces the identical
+ * result on such runs.
  */
 #ifndef FAASCACHE_PLATFORM_CLUSTER_H_
 #define FAASCACHE_PLATFORM_CLUSTER_H_
@@ -120,20 +122,17 @@ struct ClusterConfig
 
     /**
      * Worker-thread shards the invoker fleet is partitioned into
-     * (DESIGN.md §4i). 0 (the default) keeps the single-threaded
-     * legacy paths, byte-for-byte. Any N >= 1 runs the sharded engine:
-     * contiguous server ranges per shard, conservative time-windowed
+     * (DESIGN.md §4i); must be >= 1. Each shard owns a contiguous
+     * server range. Fault/overload runs use conservative time-windowed
      * synchronization with the lookahead horizon set to
-     * failover.base_backoff_us, and a deterministic merge — results
-     * are byte-identical for every N >= 1 (including N = 1 and
-     * N > num_servers), but the windowed machinery quantizes
-     * cross-shard forwarding to window boundaries, so fault/overload
-     * runs with N >= 1 are a deliberately distinct (still fully
-     * deterministic) semantic from the legacy N = 0 event interleave.
-     * Fault-free runs match N = 0 exactly. The Reference backend
-     * ignores the knob and stays the single-threaded oracle.
+     * failover.base_backoff_us, so cross-shard forwarding is quantized
+     * to window boundaries; fault-free runs replay each server
+     * independently. Either way the merge is deterministic and results
+     * are byte-identical for every shard count (including N = 1 and
+     * N > num_servers): the shard count is an execution grouping, not a
+     * semantic parameter.
      */
-    std::size_t shards = 0;
+    std::size_t shards = 1;
 
     /** Check invariants of the whole tree (servers, faults,
      *  failover). @throws std::invalid_argument. */
@@ -202,15 +201,10 @@ struct ClusterResult
 };
 
 /**
- * Replay `trace` through a cluster. With an empty fault plan and no
- * admission control, the balancer splits the invocation stream into
- * per-server sub-traces (all servers see the full function catalog)
- * and every server runs its share under a fresh policy of `kind` —
- * byte-identical to the pre-fault-injection behaviour. Otherwise the
- * interleaved health-aware simulation described in the file comment
- * runs; every invocation then ends in exactly one of: served on some
- * server, dropped by a server, shed by admission control, or failed
- * after retries.
+ * Replay `trace` through a cluster: a thin adapter that runs the
+ * ShardedWorkload overload with TraceSource cursors over `trace`. Every
+ * invocation ends in exactly one of: served on some server, dropped by
+ * a server, shed by admission control, or failed after retries.
  */
 ClusterResult runCluster(const Trace& trace, PolicyKind kind,
                          const ClusterConfig& config,
@@ -218,17 +212,13 @@ ClusterResult runCluster(const Trace& trace, PolicyKind kind,
 
 /**
  * Streaming overload (DESIGN.md §4h): replay an arbitrary invocation
- * stream through the cluster. With the Dense backend nothing is ever
- * materialized — the fault-free path runs each server over a
- * balancer-filter view of the stream (one pass per server, replaying
- * the balancer's draws identically per pass), and the health-aware
- * path merges the arrival cursor against the front-end heap exactly
- * like Server::run(InvocationSource&). Peak memory stays
- * O(catalog + pending work), except Random balancing, which records
- * one 4-byte draw per arrival so crash fallout can recall a request's
- * primary server. The Reference backend materializes the source and
- * delegates to the trace overload. Byte-identical to runCluster(Trace)
- * over the equivalent trace.
+ * stream through the cluster. At one effective shard the engine
+ * borrows this single cursor (rewinding it per pass) and nothing is
+ * materialized, so peak memory stays O(catalog + pending work). A lone
+ * cursor cannot be re-opened per worker thread, so with more shards
+ * the source is materialized once; use the ShardedWorkload overload to
+ * shard a re-openable stream without that copy. Byte-identical to
+ * runCluster(Trace) over the equivalent trace.
  */
 ClusterResult runCluster(InvocationSource& source, PolicyKind kind,
                          const ClusterConfig& config,
@@ -245,31 +235,19 @@ ClusterResult runCluster(InvocationSource& source, PolicyKind kind,
 using SourceFactory =
     std::function<std::unique_ptr<InvocationSource>()>;
 
-/**
- * A workload the sharded cluster can fan out. `make_full` is required.
- * `make_server_stream`, when set, produces the exact sub-stream the
- * balancer would route to one server (global function ids, full
- * catalog) — the sharded fault-free split then skips the per-server
- * filter passes over the full stream. Only valid for
- * LoadBalancing::FunctionHash, the one balancer whose routing is a
- * pure per-function property; it is ignored (with the filter fallback)
- * for the index- and draw-based balancers.
- */
+/** A workload the sharded cluster can fan out. `make_full` is
+ *  required. */
 struct ShardedWorkload
 {
     SourceFactory make_full;
-    std::function<std::unique_ptr<InvocationSource>(std::size_t server)>
-        make_server_stream;
 };
 
 /**
- * Sharded overload: replay a re-openable stream through the cluster
- * with config.shards worker threads (config.shards == 0 is promoted to
- * 1). Results are byte-identical for every shard count; see
- * ClusterConfig::shards for the semantic relationship to the legacy
- * single-threaded paths. Peak memory is O(catalog + pending work) per
- * shard — the sharded engine never records balancer draws, even under
- * Random balancing.
+ * The cluster engine: replay a re-openable stream through the cluster
+ * with config.shards worker threads. Results are byte-identical for
+ * every shard count; see ClusterConfig::shards. Peak memory is
+ * O(catalog + pending work) per shard — balancer draws are never
+ * recorded, even under Random balancing.
  */
 ClusterResult runCluster(const ShardedWorkload& workload, PolicyKind kind,
                          const ClusterConfig& config,

@@ -20,7 +20,7 @@ namespace faascache {
 std::size_t
 effectiveShards(std::size_t shards, std::size_t num_servers)
 {
-    return std::min(std::max<std::size_t>(shards, 1), num_servers);
+    return std::min(shards, num_servers);
 }
 
 std::pair<std::size_t, std::size_t>
@@ -354,11 +354,15 @@ runShardWorker(WindowedRun& run, std::size_t shard)
     };
     std::unordered_map<std::size_t, PendingRetry> retry_info;
 
-    // Identical decision sequence to the legacy scheduleRetry, made
-    // local by the traveling attempt count: `provoker` (whose budget
-    // is debited) is always owned by this shard. The scheduled fire
-    // always crosses the mailbox — even when we own the primary — so
-    // the path taken never depends on the shard layout.
+    // Bounded re-dispatch with jittered exponential backoff under the
+    // per-request timeout budget; exhaustion fails the request. The
+    // retry debits `provoker`'s token bucket — the server whose crash
+    // or outage caused it, always owned by this shard — so one sick
+    // server cannot spend the whole fleet's retry capacity. The jitter
+    // is one splitmix draw per (request, attempt), independent of the
+    // balancer's stream. The scheduled fire always crosses the mailbox
+    // — even when we own the primary — so the path taken never depends
+    // on the shard layout.
     auto scheduleRetry = [&](std::size_t index, const Invocation& inv,
                              TimeUs now, std::size_t provoker,
                              int attempt, std::size_t primary) {
@@ -486,7 +490,7 @@ runShardWorker(WindowedRun& run, std::size_t shard)
                                 /*redispatched=*/attempt > 0);
     };
 
-    PrimaryTracker primaries(config, /*record=*/false);
+    PrimaryTracker primaries(config);
     std::size_t cursor_index = 0;
     TimeUs last_arrival = 0;
     Invocation arr;
@@ -784,8 +788,10 @@ runClusterShardedWindowed(const SourceFactory& make_source,
         ? config.server.audit
         : nullptr;
     if (audit != nullptr) {
-        // Every shard consumed the identical stream; fleet-wide
-        // request conservation over its length, as in the legacy paths.
+        // Every shard consumed the identical stream. Fleet-wide request
+        // conservation over its length: every invocation ends in exactly
+        // one of served-on-a-server, dropped-by-a-server, shed by
+        // admission control, or failed after retries.
         const std::size_t stream_length = run.shard_stream_length[0];
         for (const std::size_t len : run.shard_stream_length) {
             if (len != stream_length) {
@@ -819,11 +825,6 @@ runClusterSplitSharded(const ShardedWorkload& workload, PolicyKind kind,
 {
     const std::size_t n = config.num_servers;
     const std::size_t num_shards = effectiveShards(config.shards, n);
-    // The per-server sub-stream shortcut is only sound for the one
-    // balancer whose routing is a pure per-function property.
-    const bool per_server_streams =
-        workload.make_server_stream != nullptr &&
-        config.balancing == LoadBalancing::FunctionHash;
 
     std::vector<PlatformResult> results(n);
     std::vector<std::exception_ptr> errors(num_shards);
@@ -834,21 +835,15 @@ runClusterSplitSharded(const ShardedWorkload& workload, PolicyKind kind,
              s < first_server + owned_count; ++s) {
             Server server(makePolicy(kind, policy_config),
                           config.server);
-            if (per_server_streams) {
-                const auto sub = workload.make_server_stream(s);
-                results[s] = server.run(*sub);
-            } else {
-                const auto full = workload.make_full();
-                full->reset();
-                // Inexact sizing hint (hints are allocation-only by
-                // the InvocationSource contract): roughly 1/n of the
-                // stream lands on each server.
-                BalancerFilterSource view(
-                    *full, config, s,
-                    SourceCountHint{full->countHint().count / n + 16,
-                                    false});
-                results[s] = server.run(view);
-            }
+            const auto full = workload.make_full();
+            full->reset();
+            // Inexact sizing hint (hints are allocation-only by the
+            // InvocationSource contract): roughly 1/n of the stream
+            // lands on each server.
+            BalancerFilterSource view(
+                *full, config, s,
+                SourceCountHint{full->countHint().count / n + 16, false});
+            results[s] = server.run(view);
         }
     };
 
@@ -884,12 +879,12 @@ runCluster(const ShardedWorkload& workload, PolicyKind kind,
         throw std::invalid_argument(
             "runCluster: ShardedWorkload.make_full is required");
     }
-    if (config.server.platform_backend == PlatformBackend::Reference) {
-        // The single-threaded oracle ignores the shard knob.
-        const auto source = workload.make_full();
-        const Trace trace = materializeSource(*source);
-        return runCluster(trace, kind, config, policy_config);
-    }
+    // The independent-server split is the parallel fast path, sound
+    // only when no front-end machinery can fire: no faults, no
+    // admission mark, no retry budget, no breakers. Server-local
+    // overload features run identically on both (they live inside
+    // Server), and the windowed engine reproduces the split exactly on
+    // such runs — the check that keeps the two honest.
     if (config.faults.empty() && config.failover.shed_queue_depth == 0 &&
         !config.failover.retry_budget.enabled() &&
         !config.failover.breaker.enabled()) {

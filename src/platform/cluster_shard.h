@@ -41,8 +41,9 @@
 namespace faascache {
 
 /**
- * Shards actually used for a fleet of `num_servers`: at least one, at
- * most one per server (an empty shard would have nothing to own).
+ * Shards actually used for a fleet of `num_servers`: at most one per
+ * server (an empty shard would have nothing to own).
+ * @pre shards >= 1 (ClusterConfig::validate).
  */
 std::size_t effectiveShards(std::size_t shards, std::size_t num_servers);
 
@@ -166,9 +167,10 @@ class ShardBarrier
 };
 
 /**
- * Sharded fault-free split replay: per-server independent runs
- * executed by shard worker threads. Byte-identical to the legacy
- * split paths (hints aside, which are allocation-only).
+ * Sharded fault-free split replay: per-server independent runs over
+ * balancer-filter views of the stream, executed by shard worker
+ * threads. Only sound when no front-end machinery can fire; on such
+ * runs it is byte-identical to runClusterShardedWindowed().
  */
 ClusterResult runClusterSplitSharded(const ShardedWorkload& workload,
                                      PolicyKind kind,
@@ -176,10 +178,9 @@ ClusterResult runClusterSplitSharded(const ShardedWorkload& workload,
                                      const PolicyConfig& policy_config);
 
 /**
- * Windowed sharded engine for runs with front-end machinery (faults,
- * admission, budgets, breakers). Byte-identical across every shard
- * count N >= 1; see ClusterConfig::shards for the relationship to the
- * legacy single-threaded interleave.
+ * Windowed sharded engine, the cluster's fault-aware front end: runs
+ * with front-end machinery (faults, admission, budgets, breakers).
+ * Byte-identical across every shard count N >= 1.
  */
 ClusterResult runClusterShardedWindowed(const SourceFactory& make_source,
                                         PolicyKind kind,

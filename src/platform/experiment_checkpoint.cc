@@ -354,8 +354,9 @@ platformSweepFingerprint(const std::vector<PlatformCell>& cells)
     const std::vector<std::string> keys = platformCellKeys(cells);
     std::unordered_map<const Trace*, std::uint64_t> trace_hashes;
     std::ostringstream out;
-    // v5: lockstep bump with the cluster grid (sharded execution), so a
-    // mixed-grid journal from either era is rejected as a whole.
+    // v5: lockstep bump with the cluster grid's sharded-execution
+    // version. The cluster grid's v6 (one windowed engine) changed no
+    // platform semantics, so platform journals stay v5.
     out << "faascache-platform-grid-v5;" << cells.size() << ';';
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const PlatformCell& cell = cells[i];
@@ -373,10 +374,12 @@ clusterSweepFingerprint(const std::vector<ClusterCell>& cells)
     const std::vector<std::string> keys = clusterCellKeys(cells);
     std::unordered_map<const Trace*, std::uint64_t> trace_hashes;
     std::ostringstream out;
-    // v5: cells gained the shards knob (sharded windowed execution is a
-    // distinct deterministic semantic from the legacy interleave when
-    // front-end machinery is armed, so it must key resumes).
-    out << "faascache-cluster-grid-v5;" << cells.size() << ';';
+    // v6: fault/overload cells run the windowed engine at every shard
+    // count, replacing the single-threaded event interleave, so
+    // journals written under that interleave are refused. The shard
+    // count itself is an execution grouping (byte-identical results),
+    // not a resume key.
+    out << "faascache-cluster-grid-v6;" << cells.size() << ';';
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const ClusterCell& cell = cells[i];
         const ClusterConfig& config = cell.config;
@@ -384,7 +387,7 @@ clusterSweepFingerprint(const std::vector<ClusterCell>& cells)
         hashTrace(out, trace_hashes, cell.trace);
         out << policyKindName(cell.kind) << ';' << config.num_servers
             << ';' << static_cast<int>(config.balancing) << ';'
-            << config.seed << ';' << config.shards << ';';
+            << config.seed << ';';
         hashServerConfig(out, config.server);
         out << config.failover.max_retries << ';'
             << config.failover.base_backoff_us << ';'

@@ -274,19 +274,27 @@ TEST(ClusterShard, BreakerPeekAllowNeverClaimsProbe)
 
 // --- Shard-count invariance (the headline property). ----------------
 
-TEST(ClusterShard, CleanShardedMatchesLegacyForAllBalancers)
+TEST(ClusterShard, WindowedMatchesSplitOnCleanRunsForAllBalancers)
 {
+    // The split replay and the windowed engine are independent
+    // implementations of the same fault-free semantics. A retry budget
+    // without faults never spends a token (nothing is ever retried),
+    // but it arms the front end, so the windowed engine runs.
     for (const LoadBalancing balancing :
          {LoadBalancing::Random, LoadBalancing::RoundRobin,
           LoadBalancing::FunctionHash}) {
-        ClusterConfig legacy = baseConfig(4);
-        legacy.balancing = balancing;
-        const std::string oracle = payloadFor(legacy);
+        ClusterConfig split = baseConfig(4);
+        split.balancing = balancing;
+        const std::string oracle = payloadFor(split);
         for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-            ClusterConfig sharded = legacy;
-            sharded.shards = shards;
-            EXPECT_EQ(payloadFor(sharded), oracle)
-                << "clean sharded run diverged from legacy: balancing "
+            split.shards = shards;
+            ClusterConfig windowed = split;
+            windowed.failover.retry_budget.ratio = 0.5;
+            EXPECT_EQ(payloadFor(split), oracle)
+                << "split run diverged: balancing "
+                << static_cast<int>(balancing) << ", shards " << shards;
+            EXPECT_EQ(payloadFor(windowed), oracle)
+                << "windowed run diverged from split: balancing "
                 << static_cast<int>(balancing) << ", shards " << shards;
         }
     }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "platform/experiment_checkpoint.h"
 #include "platform/load_generator.h"
 #include "util/audit.h"
 
@@ -35,33 +39,35 @@ expectConservation(const ClusterResult& r, const Trace& t)
     EXPECT_EQ(resolved, static_cast<std::int64_t>(t.invocations().size()));
 }
 
-TEST(ClusterFailover, FaultAwarePathMatchesLegacyWithoutFaults)
+TEST(ClusterFailover, WindowedEngineMatchesSplitWithoutFaults)
 {
-    // Force the interleaved path with admission control that never
-    // triggers; the result must match the legacy split replay.
+    // Force the windowed engine with admission control that never
+    // triggers; the result must match the split replay.
     const Trace t = skewedFrequencyWorkload(10 * kMinute);
     for (LoadBalancing lb : {LoadBalancing::Random,
                              LoadBalancing::RoundRobin,
                              LoadBalancing::FunctionHash}) {
-        const ClusterResult legacy =
+        const ClusterResult split =
             runCluster(t, PolicyKind::GreedyDual, config(lb));
         ClusterConfig forced = config(lb);
         forced.failover.shed_queue_depth = forced.server.queue_capacity;
-        const ClusterResult fault_aware =
+        const ClusterResult windowed =
             runCluster(t, PolicyKind::GreedyDual, forced);
 
-        EXPECT_EQ(legacy.warmStarts(), fault_aware.warmStarts());
-        EXPECT_EQ(legacy.coldStarts(), fault_aware.coldStarts());
-        EXPECT_EQ(legacy.dropped(), fault_aware.dropped());
-        EXPECT_EQ(fault_aware.retries, 0);
-        EXPECT_EQ(fault_aware.failovers, 0);
-        EXPECT_EQ(fault_aware.shed_requests, 0);
-        ASSERT_EQ(legacy.servers.size(), fault_aware.servers.size());
-        for (std::size_t s = 0; s < legacy.servers.size(); ++s) {
-            EXPECT_EQ(legacy.servers[s].latencies_sec,
-                      fault_aware.servers[s].latencies_sec)
+        EXPECT_EQ(split.warmStarts(), windowed.warmStarts());
+        EXPECT_EQ(split.coldStarts(), windowed.coldStarts());
+        EXPECT_EQ(split.dropped(), windowed.dropped());
+        EXPECT_EQ(windowed.retries, 0);
+        EXPECT_EQ(windowed.failovers, 0);
+        EXPECT_EQ(windowed.shed_requests, 0);
+        ASSERT_EQ(split.servers.size(), windowed.servers.size());
+        for (std::size_t s = 0; s < split.servers.size(); ++s) {
+            EXPECT_EQ(split.servers[s].latencies_sec,
+                      windowed.servers[s].latencies_sec)
                 << "server " << s;
         }
+        EXPECT_EQ(encodeClusterCheckpointPayload("cell", split),
+                  encodeClusterCheckpointPayload("cell", windowed));
     }
 }
 
@@ -296,6 +302,20 @@ TEST(ClusterFailover, ConfigValidationRejectsBadValues)
         c.faults.spawn_failure_prob = 2.0;
         EXPECT_THROW(runCluster(t, PolicyKind::Ttl, c),
                      std::invalid_argument);
+    }
+    {
+        // Every run needs at least one shard worker thread; the error
+        // names the knob.
+        ClusterConfig c = config();
+        c.shards = 0;
+        try {
+            runCluster(t, PolicyKind::Ttl, c);
+            ADD_FAILURE() << "shards = 0 must be rejected";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("shards must be >= 1"),
+                      std::string::npos)
+                << e.what();
+        }
     }
     {
         ClusterConfig c = config();

@@ -353,7 +353,7 @@ TEST(ClusterDifferential, SplitAndFaultAwarePathsAgree)
     for (LoadBalancing balancing :
          {LoadBalancing::Random, LoadBalancing::RoundRobin,
           LoadBalancing::FunctionHash}) {
-        // Fault-free: exercises runClusterSplit (per-shard run()).
+        // Fault-free: exercises the split replay (per-server run()).
         ClusterConfig split = baseClusterConfig();
         split.balancing = balancing;
         expectClusterBackendsAgree(
@@ -362,7 +362,7 @@ TEST(ClusterDifferential, SplitAndFaultAwarePathsAgree)
                                      balancing)));
 
         // Crashing fleet with full failover machinery: exercises the
-        // fault-aware front end and its dispatch cursor.
+        // windowed engine's front end and its dispatch cursor.
         ClusterConfig faulty = split;
         faulty.faults.spawn_failure_prob = 0.1;
         faulty.faults.crashes.push_back(

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -324,6 +325,27 @@ TEST(ClusterFingerprint, SensitiveToFleetAndFaultKnobs)
     broken[0].config.failover.breaker.failure_threshold = 5;
     EXPECT_NE(clusterSweepFingerprint(grid),
               clusterSweepFingerprint(broken));
+
+    // The same grid under the v5 fingerprint, whose fault cells ran the
+    // single-threaded event interleave instead of the windowed engine:
+    // a journal written under it must be refused, not resumed.
+    constexpr std::uint64_t kV5Fingerprint = 0x150d50d6f40805ceULL;
+    EXPECT_NE(clusterSweepFingerprint(grid), kV5Fingerprint);
+    TempFile ckpt("cluster_v5");
+    {
+        CheckpointJournalWriter writer =
+            CheckpointJournalWriter::beginFresh(ckpt.path(),
+                                                kV5Fingerprint);
+        const ClusterCell& cell = grid[0];
+        writer.append(encodeClusterCheckpointPayload(
+            clusterCellKeys(grid)[0],
+            runCluster(*cell.trace, cell.kind, cell.config)));
+    }
+    PlatformSweepOptions options;
+    options.checkpoint_path = ckpt.path();
+    options.resume = true;
+    EXPECT_THROW(runClusterSweepReport(grid, 1, options),
+                 std::runtime_error);
 }
 
 TEST(PlatformSweepResume, RestoresEveryCellBitForBit)
@@ -393,6 +415,9 @@ TEST(ClusterSweepResume, PartialJournalRerunsOnlyMissingCells)
     TempFile ckpt("cluster_partial");
     const std::vector<ClusterCell> grid = clusterGrid();
     const std::vector<std::string> keys = clusterCellKeys(grid);
+    // Default cluster cell key: <trace>/<policy>/<servers>x<memory>MB.
+    EXPECT_EQ(keys[0], "platform-ckpt-test/TTL/2x700MB");
+    EXPECT_EQ(keys[1], "platform-ckpt-test/GD/2x700MB");
 
     PlatformSweepOptions options;
     options.checkpoint_path = ckpt.path();

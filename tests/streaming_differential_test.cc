@@ -196,7 +196,7 @@ TEST(StreamingDifferential, ServerStreamedRunAgreesUnderFaults)
     }
 }
 
-// --- Cluster: split + fault-aware streamed paths, all balancers. ----
+// --- Cluster: split replay + windowed engine, all balancers. -------
 
 TEST(StreamingDifferential, ClusterAgreesAcrossSourcesAndBalancers)
 {
@@ -303,15 +303,19 @@ TEST(StreamingDifferential, ClusterShardCountInvariance)
                 runCluster(workload, PolicyKind::GreedyDual, sharded));
 
             if (!faulty) {
-                // The fault-free sharded split must also match the
-                // legacy single-threaded engine byte-for-byte.
+                // The fault-free split must also match the windowed
+                // engine byte-for-byte. A retry budget without faults
+                // never spends a token but arms the front end, so the
+                // windowed engine runs.
+                ClusterConfig windowed = sharded;
+                windowed.failover.retry_budget.ratio = 0.5;
                 EXPECT_EQ(
                     encodeClusterCheckpointPayload(
                         "cell",
                         runCluster(trace, PolicyKind::GreedyDual,
-                                   config)),
+                                   windowed)),
                     oracle)
-                    << "sharded split diverged from legacy: " << label;
+                    << "split diverged from windowed: " << label;
             }
 
             // 8 shards on a 3-server fleet also covers the clamp to
